@@ -32,7 +32,7 @@ from .forest import (
     wyllie_forest_scan,
 )
 from .stats import ScanStats
-from .sublist import SublistConfig, choose_splitters, sublist_list_rank, sublist_list_scan
+from .sublist import SublistConfig, sublist_list_rank, sublist_list_scan
 from .tuning import (
     PolylogFit,
     SERIAL_CUTOFF,

@@ -31,17 +31,23 @@ Phase-1 forest scan's outputs are exactly what Phase 3 needs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 import numpy as np
 
 from ..baselines.serial import serial_list_scan
 from ..baselines.wyllie import wyllie_list_scan
 from ..lists.generate import INDEX_DTYPE, LinkedList
-from .forest import forest_list_scan, forest_tails
+from .forest import (
+    SublistConfig,
+    draw_splitters,
+    forest_list_scan,
+    forest_tails,
+    resolve_parameters,
+)
 from .operators import Operator, SUM, get_operator
 from .schedule import ScheduleIterator, optimal_schedule
 from .stats import ScanStats
-from .sublist import SublistConfig, choose_splitters, _resolve_parameters
 
 __all__ = ["early_reconnect_list_scan"]
 
@@ -77,24 +83,14 @@ def early_reconnect_list_scan(
         serial_list_scan(lst, op, inclusive=inclusive, out=out)
         return out
 
-    m_req, s1 = _resolve_parameters(n, cfg)
-    m_req = int(min(m_req, max(2, n // 2)))
-    idx_self = np.arange(n, dtype=INDEX_DTYPE)
-    loops = np.flatnonzero(nxt == idx_self)
-    if loops.size == 0:
-        from ..lists.validate import ListStructureError
-
-        raise ListStructureError(
-            "the successor array has no self-loop tail; not a valid list"
-        )
-    tail = int(loops[0])
-    positions = choose_splitters(n, m_req, tail, cfg.splitters, gen)
+    m_req, s1 = resolve_parameters(n, 1, cfg)
+    positions = draw_splitters(nxt, m_req - 1, gen)
     m = int(positions.size) + 1
     if switch_count is None:
         switch_count = m // 8
     ident = op.identity_for(values.dtype)
 
-    # ------------------- INITIALIZE (as in core.sublist) ---------------
+    # ------------------- INITIALIZE (as in core.forest) ----------------
     sl_random = np.empty(m, dtype=INDEX_DTYPE)
     sl_random[0] = -1
     sl_random[1:] = positions
@@ -119,10 +115,10 @@ def early_reconnect_list_scan(
     forest_proc = None  # original sublist index of each suffix node
 
     try:
-        schedule = optimal_schedule(n, m, s1, cfg.costs, guard=cfg.schedule_guard)
+        schedule = optimal_schedule(n, m, s1, cfg.costs)
 
         # ---------------------------- PHASE 1 --------------------------
-        gaps1 = ScheduleIterator(schedule, cfg.tail_growth)
+        gaps1 = ScheduleIterator(schedule)
         vp_next = sl_head.copy()
         vp_sum = op.identity_array(m, values.dtype)
         vp_proc = np.arange(m, dtype=INDEX_DTYPE)
@@ -170,8 +166,7 @@ def early_reconnect_list_scan(
                 f_heads,
                 op,
                 carries=vp_sum,
-                serial_cutoff=cfg.serial_cutoff,
-                wyllie_cutoff=cfg.wyllie_cutoff,
+                config=replace(cfg, m=None, s1=None),
                 rng=gen,
                 stats=stats,
                 out=f_out,
@@ -224,7 +219,7 @@ def early_reconnect_list_scan(
             serial_list_scan(reduced, op, out=carries)
 
         # ----------------------------- PHASE 3 --------------------------
-        gaps3 = ScheduleIterator(schedule, cfg.tail_growth)
+        gaps3 = ScheduleIterator(schedule)
         vp_next = sl_head.copy()
         vp_sum = carries.copy()
         vp_proc = np.arange(m, dtype=INDEX_DTYPE)

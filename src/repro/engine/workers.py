@@ -111,7 +111,7 @@ def run_fused_kernel(
     """
     if algorithm == "serial":
         serial_forest_scan(nxt, values, heads, op, None, out)
-        kstats.add_work(nxt.shape[0], phase="forest_serial")
+        kstats.add_work(nxt.shape[0], phase="serial")
         if inclusive:
             out[...] = op.combine(out, values)
     elif algorithm == "wyllie":

@@ -31,7 +31,6 @@ import numpy as np
 
 from ..core.operators import Operator, SUM, get_operator
 from ..core.schedule import ScheduleIterator, optimal_schedule
-from ..core.sublist import choose_splitters
 from ..core.tuning import SERIAL_CUTOFF, WYLLIE_CUTOFF, tuned_parameters
 from ..lists.generate import INDEX_DTYPE, LinkedList
 from ..machine.calibration import derive_rates, to_kernel_costs
@@ -42,7 +41,74 @@ from .result import SimResult
 from .serial_sim import serial_scan_sim
 from .wyllie_sim import wyllie_scan_sim
 
-__all__ = ["SimSublistConfig", "sublist_scan_sim", "sublist_rank_sim"]
+__all__ = [
+    "SimSublistConfig",
+    "choose_splitters",
+    "sublist_scan_sim",
+    "sublist_rank_sim",
+]
+
+
+def choose_splitters(
+    n: int,
+    m: int,
+    tail: int,
+    strategy: str,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Choose the ``m − 1`` splitter positions (sublist tails).
+
+    Positions must be distinct and must exclude the tail of the whole
+    list ("We do not let a processor choose the tail of the whole list
+    … because it is convenient not to worry about a zero length list in
+    Phase 2").  The returned array may be shorter than ``m − 1`` for
+    the competition strategy (duplicates drop out, exactly as the
+    paper's duplicate processors do).
+
+    ``strategy`` is ``"spaced"`` (equally spaced positions, the paper's
+    choice for randomly ordered lists, and the one that produces the
+    bank-conflict patterns on ordered lists), ``"random"`` (distinct
+    uniform positions) or ``"random_competition"`` (uniform positions
+    drawn *with* replacement, deduplicated by the paper's
+    write-index/read-back competition).
+
+    Degenerate inputs fall back instead of failing: ``m`` larger than
+    the list clamps to ``n - 1`` usable splitters (every non-tail node),
+    and a list with fewer than two nodes has no splittable interior, so
+    the result is empty and the caller's serial path takes over.
+    """
+    # A splitter must be a non-tail node, so at most n - 1 exist; a
+    # request for more (m > n) clamps rather than erroring so callers
+    # with a fixed m(n) schedule degrade cleanly on tiny lists.
+    want = min(m - 1, n - 1)
+    if want < 1:
+        return np.empty(0, dtype=INDEX_DTYPE)
+    if strategy == "spaced":
+        positions = np.unique(
+            (np.arange(1, want + 1, dtype=np.float64) * n / (want + 1)).astype(INDEX_DTYPE)
+        )
+    elif strategy == "random":
+        pool = n - 1  # choose from [0, n) \ {tail} via shifted sampling
+        draw = rng.choice(pool, size=want, replace=False).astype(INDEX_DTYPE)
+        draw[draw >= tail] += 1
+        positions = np.sort(draw)
+    elif strategy == "random_competition":
+        draw = rng.integers(0, n, size=want, dtype=INDEX_DTYPE)
+        # competition: write our id at the position, read it back, and
+        # drop out if someone else's id is there (paper Section 2.4)
+        claim = np.full(n, -1, dtype=INDEX_DTYPE)
+        claim[draw] = np.arange(want, dtype=INDEX_DTYPE)
+        winners = claim[draw] == np.arange(want, dtype=INDEX_DTYPE)
+        positions = np.unique(draw[winners])
+    else:
+        raise ValueError(f"unknown splitter strategy {strategy!r}")
+    positions = positions[positions != tail]
+    if positions.size == 0:
+        # degenerate tiny list (or every draw hit the tail): fall back
+        # to the first non-tail node so Phase 2 still sees >= 2 sublists
+        fallback = 0 if tail != 0 else 1
+        positions = np.asarray([fallback], dtype=INDEX_DTYPE)
+    return positions
 
 
 @dataclass(frozen=True)

@@ -274,7 +274,7 @@ class TestProcessTraceAdoption:
         assert root.attrs == {"requests": 2, "parallel": True}
         (execute,) = root.find_all("execute")
         assert execute.attrs["algorithm"] == "sublist"
-        forest = execute.find("forest_scan")
+        forest = execute.find("sublist_scan")
         assert forest is not None  # adopted from the worker process
         assert len(forest.children) > 0  # the kernel's phase spans came too
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.forest import (
+    SublistConfig,
     forest_list_scan,
     forest_tails,
     serial_forest_scan,
@@ -11,6 +12,9 @@ from repro.core.forest import (
 )
 from repro.core.operators import AFFINE, MAX, SUM
 from repro.lists.generate import INDEX_DTYPE
+from repro.lists.validate import ListStructureError
+
+CUT8 = SublistConfig(serial_cutoff=8)
 
 
 def make_forest(sizes, rng):
@@ -107,14 +111,14 @@ class TestForestListScan:
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, SUM, None, ref)
         got = forest_list_scan(
-            nxt, values, heads, SUM, serial_cutoff=8, rng=rng
+            nxt, values, heads, SUM, config=CUT8, rng=rng
         )
         assert np.array_equal(got, ref)
 
     def test_restores_arrays(self, forest5, rng):
         nxt, heads, values = forest5
         bn, bv = nxt.copy(), values.copy()
-        forest_list_scan(nxt, values, heads, SUM, serial_cutoff=8, rng=rng)
+        forest_list_scan(nxt, values, heads, SUM, config=CUT8, rng=rng)
         assert np.array_equal(nxt, bn)
         assert np.array_equal(values, bv)
 
@@ -124,7 +128,7 @@ class TestForestListScan:
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, SUM, carries, ref)
         got = forest_list_scan(
-            nxt, values, heads, SUM, carries=carries, serial_cutoff=8, rng=rng
+            nxt, values, heads, SUM, carries=carries, config=CUT8, rng=rng
         )
         assert np.array_equal(got, ref)
 
@@ -132,21 +136,21 @@ class TestForestListScan:
         nxt, heads, values = forest5
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, MAX, None, ref)
-        got = forest_list_scan(nxt, values, heads, MAX, serial_cutoff=8, rng=rng)
+        got = forest_list_scan(nxt, values, heads, MAX, config=CUT8, rng=rng)
         assert np.array_equal(got, ref)
 
     def test_inclusive(self, forest5, rng):
         nxt, heads, values = forest5
-        excl = forest_list_scan(nxt, values, heads, SUM, serial_cutoff=8, rng=0)
+        excl = forest_list_scan(nxt, values, heads, SUM, config=CUT8, rng=0)
         incl = forest_list_scan(
-            nxt, values, heads, SUM, inclusive=True, serial_cutoff=8, rng=0
+            nxt, values, heads, SUM, inclusive=True, config=CUT8, rng=0
         )
         assert np.array_equal(incl, excl + values)
 
     def test_list_ids(self, forest5, rng):
         nxt, heads, values = forest5
         _, ids = forest_list_scan(
-            nxt, values, heads, SUM, serial_cutoff=8, rng=rng,
+            nxt, values, heads, SUM, config=CUT8, rng=rng,
             return_list_ids=True,
         )
         for k, h in enumerate(heads):
@@ -165,9 +169,32 @@ class TestForestListScan:
         lst = random_list(3000, rng, values=rng.integers(-9, 9, 3000))
         got = forest_list_scan(
             lst.next, lst.values, np.asarray([lst.head]), SUM,
-            serial_cutoff=8, rng=rng,
+            config=CUT8, rng=rng,
         )
         assert np.array_equal(got, serial_list_scan(lst))
+
+    def test_inclusive_serial_base_case(self):
+        nxt = np.array([1, 2, 2], dtype=INDEX_DTYPE)
+        values = np.array([1, 2, 3])
+        got = forest_list_scan(nxt, values, np.array([0]), SUM, inclusive=True)
+        assert got.tolist() == [1, 3, 6]
+
+    def test_rho_shaped_input_raises_and_restores(self):
+        # 0 -> 1 -> ... -> n-2 -> n-3: the tail of the path loops back
+        # into a two-node cycle; node n-1 is a detached self-loop
+        n = 5000
+        nxt = np.arange(1, n + 1, dtype=INDEX_DTYPE)
+        nxt[n - 2] = n - 3
+        nxt[n - 1] = n - 1
+        values = np.arange(n, dtype=np.int64)
+        bn, bv = nxt.copy(), values.copy()
+        with pytest.raises(ListStructureError, match="cycle"):
+            forest_list_scan(
+                nxt, values, np.array([0]), SUM,
+                config=SublistConfig(m=2, s1=4.0), rng=0,
+            )
+        assert np.array_equal(nxt, bn)
+        assert np.array_equal(values, bv)
 
     def test_rejects_empty_forest(self, rng):
         with pytest.raises(ValueError):

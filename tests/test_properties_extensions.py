@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.serial import serial_list_scan
 from repro.core.early_reconnect import early_reconnect_list_scan
-from repro.core.forest import forest_list_scan, serial_forest_scan
+from repro.core.forest import SublistConfig, forest_list_scan, serial_forest_scan
 from repro.core.operators import SUM
 from repro.core.segmented import segmented_list_scan
 from repro.lists.generate import INDEX_DTYPE, from_order, list_order
@@ -15,6 +15,7 @@ from repro.lists.mutate import concatenate, reverse, splice_out, split_after
 from repro.lists.validate import validate_list_strict
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+CUT4 = SublistConfig(serial_cutoff=4)
 
 
 @st.composite
@@ -60,7 +61,7 @@ class TestForestProperties:
         ref = np.empty_like(values)
         serial_forest_scan(nxt, values, heads, SUM, None, ref)
         got = forest_list_scan(
-            nxt, values, heads, SUM, serial_cutoff=4, rng=seed
+            nxt, values, heads, SUM, config=CUT4, rng=seed
         )
         assert np.array_equal(got, ref)
 
@@ -69,7 +70,7 @@ class TestForestProperties:
     def test_forest_restores(self, data, seed):
         nxt, heads, values = data
         bn, bv = nxt.copy(), values.copy()
-        forest_list_scan(nxt, values, heads, SUM, serial_cutoff=4, rng=seed)
+        forest_list_scan(nxt, values, heads, SUM, config=CUT4, rng=seed)
         assert np.array_equal(nxt, bn)
         assert np.array_equal(values, bv)
 
@@ -81,12 +82,12 @@ class TestForestProperties:
         rng = np.random.default_rng(seed)
         carries = rng.integers(-50, 50, heads.size)
         base, ids = forest_list_scan(
-            nxt, values, heads, SUM, serial_cutoff=4, rng=seed,
+            nxt, values, heads, SUM, config=CUT4, rng=seed,
             return_list_ids=True,
         )
         seeded = forest_list_scan(
             nxt, values, heads, SUM, carries=carries,
-            serial_cutoff=4, rng=seed,
+            config=CUT4, rng=seed,
         )
         assert np.array_equal(seeded, base + carries[ids])
 

@@ -15,6 +15,7 @@ from repro.simulate.contraction_sim import (
 from repro.simulate.serial_sim import serial_rank_sim, serial_scan_sim
 from repro.simulate.sublist_sim import (
     SimSublistConfig,
+    choose_splitters,
     sublist_rank_sim,
     sublist_scan_sim,
 )
@@ -217,3 +218,55 @@ class TestSimConfig:
         breakdown = stats_to_cycles(st, CRAY_C90)
         parts = {k: v for k, v in breakdown.items() if k != "total"}
         assert breakdown["total"] == pytest.approx(sum(parts.values()))
+
+
+class TestChooseSplitters:
+    def test_spaced_count(self, rng):
+        pos = choose_splitters(1000, 11, tail=999, strategy="spaced", rng=rng)
+        assert pos.size == 10
+
+    def test_spaced_excludes_tail(self, rng):
+        # tail right on a spaced position
+        pos = choose_splitters(1000, 11, tail=100, strategy="spaced", rng=rng)
+        assert 100 not in pos
+
+    def test_random_distinct(self, rng):
+        pos = choose_splitters(100, 50, tail=7, strategy="random", rng=rng)
+        assert len(np.unique(pos)) == pos.size == 49
+        assert 7 not in pos
+
+    def test_random_covers_full_range(self, rng):
+        pos = choose_splitters(10, 10, tail=3, strategy="random", rng=rng)
+        assert set(pos) == set(range(10)) - {3}
+
+    def test_competition_drops_duplicates(self, rng):
+        pos = choose_splitters(
+            50, 40, tail=0, strategy="random_competition", rng=rng
+        )
+        assert len(np.unique(pos)) == pos.size
+        assert 0 not in pos
+        assert pos.size <= 39
+
+    @pytest.mark.parametrize("strategy", ["spaced", "random", "random_competition"])
+    def test_too_many_sublists_clamps(self, rng, strategy):
+        # m > n: clamp to the n - 1 available non-tail positions instead
+        # of raising / returning empty sublists
+        pos = choose_splitters(5, 10, tail=0, strategy=strategy, rng=rng)
+        assert 1 <= pos.size <= 4
+        assert len(np.unique(pos)) == pos.size
+        assert 0 not in pos
+        assert np.all((pos > 0) & (pos < 5))
+
+    @pytest.mark.parametrize("strategy", ["spaced", "random", "random_competition"])
+    def test_single_node_list_no_splitters(self, rng, strategy):
+        pos = choose_splitters(1, 8, tail=0, strategy=strategy, rng=rng)
+        assert pos.size == 0
+
+    @pytest.mark.parametrize("strategy", ["spaced", "random", "random_competition"])
+    def test_two_node_list_single_splitter(self, rng, strategy):
+        pos = choose_splitters(2, 16, tail=1, strategy=strategy, rng=rng)
+        assert pos.tolist() == [0]
+
+    def test_zero_splits(self, rng):
+        pos = choose_splitters(10, 1, tail=0, strategy="spaced", rng=rng)
+        assert pos.size == 0

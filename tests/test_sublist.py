@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.analysis.cost_model import PAPER_C90_COSTS
 from repro.baselines.serial import serial_list_scan, serial_list_rank
+from repro.core.list_scan import list_scan
 from repro.core.operators import AFFINE, MAX, MIN, PROD, XOR
 from repro.core.stats import ScanStats
 from repro.core.sublist import (
     SublistConfig,
-    choose_splitters,
     sublist_list_rank,
     sublist_list_scan,
 )
+from repro.core.tuning import tuned_parameters
 from repro.lists.generate import (
     blocked_list,
     from_order,
@@ -43,15 +45,6 @@ class TestCorrectness:
         assert np.array_equal(
             sublist_list_scan(lst, rng=rng), serial_list_scan(lst)
         )
-
-    @pytest.mark.parametrize(
-        "strategy", ["spaced", "random", "random_competition"]
-    )
-    def test_splitter_strategies(self, strategy, rng):
-        lst = random_list(5000, rng, values=rng.integers(-9, 9, 5000))
-        cfg = SublistConfig(splitters=strategy)
-        got = sublist_list_scan(lst, config=cfg, rng=rng)
-        assert np.array_equal(got, serial_list_scan(lst))
 
     @pytest.mark.parametrize("op", [MAX, MIN, PROD, XOR], ids=lambda o: o.name)
     def test_operators(self, op, rng):
@@ -163,23 +156,6 @@ class TestConfig:
         got = sublist_list_scan(lst, config=cfg, rng=rng)
         assert np.array_equal(got, serial_list_scan(lst))
 
-    def test_short_vector_fallback(self, rng):
-        lst = random_list(10_000, rng, values=rng.integers(-9, 9, 10_000))
-        cfg = SublistConfig(short_vector_fallback=32)
-        got = sublist_list_scan(lst, config=cfg, rng=rng)
-        assert np.array_equal(got, serial_list_scan(lst))
-
-    def test_fallback_with_affine(self, rng):
-        n = 5000
-        lst = from_order(rng.permutation(n), make_affine_values(rng, n))
-        cfg = SublistConfig(short_vector_fallback=64)
-        got = sublist_list_scan(lst, AFFINE, config=cfg, rng=rng)
-        assert np.array_equal(got, serial_list_scan(lst, AFFINE))
-
-    def test_rejects_bad_splitters(self):
-        with pytest.raises(ValueError, match="splitter"):
-            SublistConfig(splitters="bogus")
-
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m"):
             SublistConfig(m=1)
@@ -191,58 +167,6 @@ class TestConfig:
     def test_rejects_inverted_cutoffs(self):
         with pytest.raises(ValueError, match="cutoff"):
             SublistConfig(serial_cutoff=1000, wyllie_cutoff=10)
-
-
-class TestChooseSplitters:
-    def test_spaced_count(self, rng):
-        pos = choose_splitters(1000, 11, tail=999, strategy="spaced", rng=rng)
-        assert pos.size == 10
-
-    def test_spaced_excludes_tail(self, rng):
-        # tail right on a spaced position
-        pos = choose_splitters(1000, 11, tail=100, strategy="spaced", rng=rng)
-        assert 100 not in pos
-
-    def test_random_distinct(self, rng):
-        pos = choose_splitters(100, 50, tail=7, strategy="random", rng=rng)
-        assert len(np.unique(pos)) == pos.size == 49
-        assert 7 not in pos
-
-    def test_random_covers_full_range(self, rng):
-        pos = choose_splitters(10, 10, tail=3, strategy="random", rng=rng)
-        assert set(pos) == set(range(10)) - {3}
-
-    def test_competition_drops_duplicates(self, rng):
-        pos = choose_splitters(
-            50, 40, tail=0, strategy="random_competition", rng=rng
-        )
-        assert len(np.unique(pos)) == pos.size
-        assert 0 not in pos
-        assert pos.size <= 39
-
-    @pytest.mark.parametrize("strategy", ["spaced", "random", "random_competition"])
-    def test_too_many_sublists_clamps(self, rng, strategy):
-        # m > n: clamp to the n - 1 available non-tail positions instead
-        # of raising / returning empty sublists
-        pos = choose_splitters(5, 10, tail=0, strategy=strategy, rng=rng)
-        assert 1 <= pos.size <= 4
-        assert len(np.unique(pos)) == pos.size
-        assert 0 not in pos
-        assert np.all((pos > 0) & (pos < 5))
-
-    @pytest.mark.parametrize("strategy", ["spaced", "random", "random_competition"])
-    def test_single_node_list_no_splitters(self, rng, strategy):
-        pos = choose_splitters(1, 8, tail=0, strategy=strategy, rng=rng)
-        assert pos.size == 0
-
-    @pytest.mark.parametrize("strategy", ["spaced", "random", "random_competition"])
-    def test_two_node_list_single_splitter(self, rng, strategy):
-        pos = choose_splitters(2, 16, tail=1, strategy=strategy, rng=rng)
-        assert pos.tolist() == [0]
-
-    def test_zero_splits(self, rng):
-        pos = choose_splitters(10, 1, tail=0, strategy="spaced", rng=rng)
-        assert pos.size == 0
 
 
 class TestStats:
@@ -266,3 +190,26 @@ class TestStats:
         stats = ScanStats()
         sublist_list_scan(random_list(n, rng), rng=rng, stats=stats)
         assert stats.phases["phase3"] >= n
+
+
+class TestCraftedOrder:
+    """Splitters are drawn at random, so no list order can defeat them."""
+
+    def test_list_visiting_spaced_positions_first(self):
+        # The list visits the m - 1 equally spaced positions first and
+        # consecutively.  Spaced splitters would cut it into m - 1
+        # one-node sublists plus one of n - m + 1 nodes, chased by a
+        # one-element vector: ~100x the rounds of a random list.
+        n = 1 << 16
+        m, _ = tuned_parameters(n, PAPER_C90_COSTS)
+        spaced = np.unique((np.arange(1, m) * n / m).astype(np.int64))
+        crafted = from_order(
+            np.concatenate([spaced, np.setdiff1d(np.arange(n), spaced)])
+        )
+        rounds = {}
+        for name, lst in (("crafted", crafted), ("random", random_list(n, 0))):
+            stats = ScanStats()
+            got = list_scan(lst, stats=stats, rng=0)
+            assert np.array_equal(got, serial_list_scan(lst)), name
+            rounds[name] = stats.rounds
+        assert rounds["crafted"] <= 3 * rounds["random"], rounds

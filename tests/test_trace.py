@@ -17,8 +17,9 @@ import pytest
 
 from repro.baselines.serial import serial_list_scan
 from repro.core.list_scan import list_scan
+from repro.core.schedule import integer_gaps, optimal_schedule
 from repro.core.sublist import sublist_list_scan
-from repro.lists.generate import ordered_list, random_list, random_values
+from repro.lists.generate import random_list, random_values
 from repro.trace import (
     NULL_TRACER,
     Tracer,
@@ -234,16 +235,30 @@ class TestCompare:
     def test_compare_ordered_list_deviates(self):
         # equally spaced splitters on an ordered list create equal
         # sublists: the trajectory is a step function, not exponential
-        # decay, and the deviation metrics must say so
+        # decay, and the deviation metrics must say so.  The kernel
+        # draws random splitters, so the step-function run is a
+        # synthetic trace with the random run's own n, m and S1: all m
+        # sublists stay live until step n/m, then finish together.
         n = 60_000
-        lst = ordered_list(n)
-        tr = Tracer()
-        sublist_list_scan(lst, "sum", trace=tr)
-        report = compare_trace(tr)
         random_lst = random_list(n, rng=12)
         tr2 = Tracer()
         sublist_list_scan(random_lst, "sum", trace=tr2, rng=12)
         random_report = compare_trace(tr2)
+        m, s1 = random_report.m, random_report.s1
+
+        tr = Tracer(clock=counting_clock())
+        with tr.span("sublist_scan", n=n, m=m, s1=s1), tr.span("phase1"):
+            step, live = 0, m
+            for gap in integer_gaps(optimal_schedule(n, m, s1)):
+                step += int(gap)
+                after = m if step < n // m else 0
+                tr.event("pack", step=step, gap=int(gap),
+                         live_before=live, live_after=after)
+                live = after
+                if not live:
+                    break
+        report = compare_trace(tr)
+        assert report.observed_packs >= 2
         assert report.rms_rel_dev > 2 * random_report.rms_rel_dev
 
     def test_compare_phase3(self):
