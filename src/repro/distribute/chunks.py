@@ -11,10 +11,10 @@ seeded with the entry carries the reduced global solve produced, which
 yields every node's final rank/scan value.
 
 Both kernels are pure functions of their chunk slice, so they run
-anywhere: inline on the engine thread (``sync``/``threads``) or inside
-a pool worker via the module-level ``_contract_chunk_task`` /
-``_expand_chunk_task`` entry points, whose arrays travel through the
-same ``_ArrayRef`` shared-memory transport the fused engine path uses.
+anywhere: the sharded scan hands them to
+:meth:`~repro.engine.workers.ExecutionBackend.run_kernel`, the same
+seam fused engine shards go through, which calls them inline or ships
+them to a pool worker.
 
 Dense-entry chunks (poor layout locality: nearly every node is an
 entry) skip the sublist machinery — its virtual-processor bookkeeping
@@ -25,18 +25,15 @@ with the vectorised Wyllie kernel instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from ..core.forest import forest_list_scan, forest_tails, wyllie_forest_scan
-from ..core.operators import Operator, get_operator
+from ..core.operators import Operator
 from ..core.stats import ScanStats
-from ..kernels.backend import KernelBackend, resolve_backend
-from ..kernels.pairs import PairSpec, operator_from_pair
+from ..kernels.backend import KernelBackend
 from ..lists.generate import INDEX_DTYPE
 from ..trace.tracer import Tracer
-from ..engine.workers import _ArrayRef, _attach_array, _release
 
 __all__ = ["contract_chunk", "expand_chunk", "ChunkResult"]
 
@@ -154,13 +151,13 @@ def expand_chunk(
     carries: np.ndarray,
     op: Operator,
     inclusive: bool,
-    out_c: np.ndarray,
+    out: np.ndarray,
     rng: np.random.Generator,
     stats: ScanStats | None = None,
     trace: Tracer | None = None,
     kernel_backend: str | KernelBackend | None = None,
 ) -> None:
-    """Phase 3: final per-node values for the chunk, written to ``out_c``.
+    """Phase 3: final per-node values for the chunk, written to ``out``.
 
     ``carries[k]`` is the global exclusive prefix at ``entries[k]`` —
     the reduced solve's output — which seeds the same segment scan
@@ -171,135 +168,7 @@ def expand_chunk(
     entries_local = (entries - lo).astype(INDEX_DTYPE, copy=False)
     loc_nxt = _local_successors(nxt_c, lo, hi, entries_local)
     _local_scan(
-        loc_nxt, values_c, entries_local, op, carries, out_c, rng, stats, trace, kernel_backend
+        loc_nxt, values_c, entries_local, op, carries, out, rng, stats, trace, kernel_backend
     )
     if inclusive:
-        out_c[...] = op.combine(out_c, values_c)
-
-
-# ----------------------------------------------------------------------
-# process-pool task entry points (picklable, module level)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _ChunkTask:
-    """One chunk crossing the process boundary.
-
-    Arrays travel as :class:`repro.engine.workers._ArrayRef` (shared
-    memory above the inline threshold), the operator by name / pair
-    opcode exactly like :class:`repro.engine.workers._FusedTask`.
-    ``out`` is only set for expansion: a shared slot the worker fills,
-    or ``None``/inline → the result rides back in the return payload.
-    """
-
-    nxt: _ArrayRef
-    values: _ArrayRef
-    lo: int
-    hi: int
-    entries: _ArrayRef
-    op_name: str
-    seed: int
-    traced: bool
-    kernel_backend: str = "numpy"
-    pair: tuple[int, int, int, int] | None = None
-    identity: Any = None
-    inclusive: bool = False
-    carries: _ArrayRef | None = None
-    out: _ArrayRef | None = None
-
-
-def _task_operator(task: _ChunkTask) -> Operator:
-    if task.pair is not None:
-        return operator_from_pair(
-            task.op_name, PairSpec.from_tuple(task.pair), task.identity
-        )
-    return get_operator(task.op_name)
-
-
-def _task_backend(task: _ChunkTask) -> KernelBackend:
-    try:
-        return resolve_backend(task.kernel_backend)
-    except ValueError:  # pragma: no cover - worker env without numba
-        return resolve_backend("numpy")
-
-
-def _contract_chunk_task(
-    task: _ChunkTask,
-) -> tuple[np.ndarray, np.ndarray, ScanStats, list[dict[str, Any]]]:
-    """Worker entry point for Phase 1: returns ``(exits, sums, stats, spans)``."""
-    from ..trace.export import span_to_dict
-
-    holds: list[Any] = []
-    nxt_c = values_c = entries = None
-    try:
-        nxt_c = _attach_array(task.nxt, holds)
-        values_c = _attach_array(task.values, holds)
-        entries = _attach_array(task.entries, holds)
-        tracer = Tracer() if task.traced else None
-        kstats = ScanStats()
-        result = contract_chunk(
-            nxt_c,
-            values_c,
-            task.lo,
-            task.hi,
-            entries,
-            _task_operator(task),
-            np.random.default_rng(task.seed),
-            stats=kstats,
-            trace=tracer,
-            kernel_backend=_task_backend(task),
-        )
-        spans = [span_to_dict(root) for root in tracer.roots] if tracer else []
-        exits = result.exits.copy() if result.exits.base is not None else result.exits
-        sums = result.sums.copy() if result.sums.base is not None else result.sums
-        return exits, sums, kstats, spans
-    finally:
-        del nxt_c, values_c, entries
-        _release(holds, unlink=False)
-
-
-def _expand_chunk_task(
-    task: _ChunkTask,
-) -> tuple[np.ndarray | None, ScanStats, list[dict[str, Any]]]:
-    """Worker entry point for Phase 3.
-
-    Writes into the shared ``out`` slot when one was allocated (payload
-    ``None``), otherwise returns the chunk's result array by value.
-    """
-    from ..trace.export import span_to_dict
-
-    holds: list[Any] = []
-    nxt_c = values_c = entries = carries = out_c = None
-    try:
-        nxt_c = _attach_array(task.nxt, holds)
-        values_c = _attach_array(task.values, holds)
-        entries = _attach_array(task.entries, holds)
-        assert task.carries is not None and task.out is not None
-        carries = _attach_array(task.carries, holds)
-        out_c = _attach_array(task.out, holds)
-        tracer = Tracer() if task.traced else None
-        kstats = ScanStats()
-        expand_chunk(
-            nxt_c,
-            values_c,
-            task.lo,
-            task.hi,
-            entries,
-            carries,
-            _task_operator(task),
-            task.inclusive,
-            out_c,
-            np.random.default_rng(task.seed),
-            stats=kstats,
-            trace=tracer,
-            kernel_backend=_task_backend(task),
-        )
-        spans = [span_to_dict(root) for root in tracer.roots] if tracer else []
-        payload = out_c if task.out.shm_name is None else None
-        if payload is not None and payload.base is not None:
-            payload = payload.copy()
-        return payload, kstats, spans
-    finally:
-        del nxt_c, values_c, entries, carries, out_c
-        _release(holds, unlink=False)
+        out[...] = op.combine(out, values_c)

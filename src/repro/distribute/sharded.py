@@ -11,9 +11,11 @@ The distributed shape (Sanders/Schimek/Uhl/Weidmann, PAPERS.md):
 3. **Expand** — each chunk reruns its local scan seeded with the entry
    carries from the reduced solve, producing final values in parallel.
 
-Chunks reach worker processes through the same shared-memory transport
-as fused shards (``engine.workers``); a :class:`~repro.distribute.
-leases.LeaseGate` bounds the bytes in flight so the resident set stays
+Every chunk goes through the same kernel seam as fused shards
+(:meth:`~repro.engine.workers.ExecutionBackend.run_kernel`), which runs
+it inline or ships it over the shared-memory transport; a
+:class:`~repro.distribute.leases.LeaseGate` admits every chunk, shipped
+or inline, and bounds the bytes in flight so the resident set stays
 inside ``DistributedConfig.memory_budget_bytes`` even when the inputs
 are ``np.memmap``-backed files much larger than RAM (the PEM-grounded
 out-of-core mode — memmapped chunks are copied into bounded buffers
@@ -36,27 +38,11 @@ import numpy as np
 from ..core.operators import SUM, Operator, get_operator
 from ..core.stats import ScanStats
 from ..engine.router import Router, default_router
-from ..engine.workers import (
-    SHM_MIN_BYTES,
-    ExecutionBackend,
-    _alloc_out,
-    _export_array,
-    _release,
-    create_backend,
-    run_fused_kernel,
-    shippable_operator,
-)
-from ..kernels.backend import KernelBackend
+from ..engine.workers import ExecutionBackend, create_backend, run_fused_kernel
+from ..kernels.backend import KernelBackend, resolve_backend
 from ..lists.generate import INDEX_DTYPE, LinkedList
 from ..trace.tracer import Tracer, null_span, resolve_trace
-from .chunks import (
-    ChunkResult,
-    _ChunkTask,
-    _contract_chunk_task,
-    _expand_chunk_task,
-    contract_chunk,
-    expand_chunk,
-)
+from .chunks import ChunkResult, contract_chunk, expand_chunk
 from .config import DistributedConfig
 from .leases import LeaseGate
 from .oocore import drop_resident_range, flush_range
@@ -65,20 +51,13 @@ from .partition import find_entries, plan_chunks
 __all__ = ["sharded_forest_scan", "sharded_list_scan", "sharded_list_rank"]
 
 
-def _kernel_backend_name(kernel_backend: str | KernelBackend | None) -> str:
-    if kernel_backend is None:
-        return "numpy"
-    if isinstance(kernel_backend, str):
-        return kernel_backend
-    return getattr(kernel_backend, "name", "numpy")
-
-
 class _ChunkIO:
     """Chunk-granular array access with bounded residency.
 
     Slices in-memory arrays directly; copies memmap chunks into private
-    buffers and drops the source pages immediately, so streaming a file
-    much larger than RAM keeps only in-flight chunks resident.
+    buffers and drops the source pages immediately, and flushes and
+    drops written output ranges, so streaming a file much larger than
+    RAM keeps only in-flight chunks resident.
     """
 
     def __init__(self, arr: np.ndarray) -> None:
@@ -94,8 +73,8 @@ class _ChunkIO:
             return buf
         return sl
 
-    def store(self, lo: int, hi: int, chunk: np.ndarray) -> None:
-        self.arr[lo:hi] = chunk
+    def retire(self, lo: int, hi: int) -> None:
+        """Write back and drop ``[lo, hi)`` once its chunk has been stored."""
         if self.is_memmap:
             flush_range(self.arr, lo, hi)
             drop_resident_range(self.arr, lo, hi)
@@ -179,15 +158,13 @@ def _sharded_scan(
     n = int(nxt.shape[0])
     workers = int(getattr(backend, "max_workers", None) or 1)
     num_chunks = cfg.resolve_num_chunks(n, values.dtype, workers)
-    ship = shippable_operator(op) if backend.offloads_kernels else None
-    offload = ship is not None
     gate = LeaseGate(cfg.memory_budget_bytes)
     seed_root = int(gen.integers(0, 2**63))
-    traced = tracer is not None and tracer.enabled
-    kb_name = _kernel_backend_name(kernel_backend)
+    kb = resolve_backend(kernel_backend)
     nxt_io = _ChunkIO(nxt)
     values_io = _ChunkIO(values)
     out_io = _ChunkIO(out)
+    out_view = np.asarray(out)  # plain-ndarray view: kernels write chunks into it
     merge_lock = threading.Lock()
 
     def merge_stats(kstats: ScanStats) -> None:
@@ -195,20 +172,18 @@ def _sharded_scan(
             with merge_lock:
                 stats.merge(kstats)
 
-    def adopt(spans: list[dict[str, Any]], parent: Any) -> None:
-        if traced and spans:
-            from ..trace.export import span_from_dict
-
-            assert tracer is not None
-            with merge_lock:
-                tracer.adopt([span_from_dict(rec) for rec in spans], parent=parent)
+    def chunk_arrays(lo: int, hi: int, entries: np.ndarray) -> dict[str, np.ndarray]:
+        return {
+            "nxt_c": nxt_io.fetch(lo, hi),
+            "values_c": values_io.fetch(lo, hi, writable=True),
+            "entries": entries,
+        }
 
     with span(
         "sharded_scan",
         n=n,
         lists=int(heads.shape[0]),
         chunks=num_chunks,
-        offload=offload,
         budget_bytes=cfg.memory_budget_bytes,
     ) as root_span:
         with span("plan", parent=root_span, chunks=num_chunks):
@@ -237,44 +212,11 @@ def _sharded_scan(
                         exits=np.empty(0, dtype=INDEX_DTYPE),
                         sums=np.empty(0, dtype=values.dtype),
                     )
-                seed = seed_root + c
-                if offload:
-                    chunk_bytes = (
-                        (hi - lo) * (nxt.dtype.itemsize + values.dtype.itemsize)
-                        + entries.nbytes
-                    )
-                    with gate.admit(chunk_bytes):
-                        leases: list[Any] = []
-                        try:
-                            assert ship is not None
-                            op_name, pair, identity = ship
-                            task = _ChunkTask(
-                                nxt=_export_array(
-                                    nxt_io.fetch(lo, hi), leases, SHM_MIN_BYTES
-                                ),
-                                values=_export_array(
-                                    values_io.fetch(lo, hi), leases, SHM_MIN_BYTES
-                                ),
-                                lo=lo,
-                                hi=hi,
-                                entries=_export_array(entries, leases, SHM_MIN_BYTES),
-                                op_name=op_name,
-                                seed=seed,
-                                traced=traced,
-                                kernel_backend=kb_name,
-                                pair=pair,
-                                identity=identity,
-                            )
-                            exits, sums, kstats, spans = backend.run_task(
-                                _contract_chunk_task, task
-                            )
-                        finally:
-                            _release(leases, unlink=True)
-                    merge_stats(kstats)
-                    adopt(spans, contract_span)
-                    return ChunkResult(exits=exits, sums=sums)
-                kstats = ScanStats()
-                with span(
+                chunk_bytes = (
+                    (hi - lo) * (nxt.dtype.itemsize + values.dtype.itemsize)
+                    + entries.nbytes
+                )
+                with gate.admit(chunk_bytes), span(
                     "chunk_contract",
                     parent=contract_span,
                     chunk=c,
@@ -282,16 +224,15 @@ def _sharded_scan(
                     hi=hi,
                     entries=int(entries.shape[0]),
                 ):
-                    result = contract_chunk(
-                        nxt_io.fetch(lo, hi),
-                        values_io.fetch(lo, hi, writable=True),
-                        lo,
-                        hi,
-                        entries,
+                    result, kstats = backend.run_kernel(
+                        contract_chunk,
+                        chunk_arrays(lo, hi, entries),
                         op,
-                        np.random.default_rng(seed),
-                        stats=kstats,
-                        kernel_backend=kernel_backend,
+                        seed=seed_root + c,
+                        trace=tracer,
+                        kernel_backend=kb,
+                        lo=lo,
+                        hi=hi,
                     )
                 merge_stats(kstats)
                 return result
@@ -335,7 +276,7 @@ def _sharded_scan(
                     kstats,
                     carries_all,
                     tracer,
-                    kernel_backend=kernel_backend,
+                    kernel_backend=kb,
                 )
             merge_stats(kstats)
 
@@ -348,62 +289,12 @@ def _sharded_scan(
                 if hi == lo or entries.shape[0] == 0:
                     return
                 carries = carries_all[entry_cuts[c] : entry_cuts[c + 1]]
-                seed = seed_root + c  # same seed → same splitters as Phase 1
-                if offload:
-                    chunk_bytes = (
-                        (hi - lo)
-                        * (nxt.dtype.itemsize + 2 * values.dtype.itemsize)
-                        + entries.nbytes
-                        + carries.nbytes
-                    )
-                    with gate.admit(chunk_bytes):
-                        leases: list[Any] = []
-                        try:
-                            assert ship is not None
-                            op_name, pair, identity = ship
-                            out_ref = _alloc_out(
-                                (hi - lo,), values.dtype, leases, SHM_MIN_BYTES
-                            )
-                            task = _ChunkTask(
-                                nxt=_export_array(
-                                    nxt_io.fetch(lo, hi), leases, SHM_MIN_BYTES
-                                ),
-                                values=_export_array(
-                                    values_io.fetch(lo, hi), leases, SHM_MIN_BYTES
-                                ),
-                                lo=lo,
-                                hi=hi,
-                                entries=_export_array(entries, leases, SHM_MIN_BYTES),
-                                op_name=op_name,
-                                seed=seed,
-                                traced=traced,
-                                kernel_backend=kb_name,
-                                pair=pair,
-                                identity=identity,
-                                inclusive=inclusive,
-                                carries=_export_array(carries, leases, SHM_MIN_BYTES),
-                                out=out_ref,
-                            )
-                            payload, kstats, spans = backend.run_task(
-                                _expand_chunk_task, task
-                            )
-                            if payload is not None:
-                                out_io.store(lo, hi, np.asarray(payload))
-                            else:
-                                out_shm = leases[0]  # _alloc_out ran first
-                                view = np.ndarray(
-                                    (hi - lo,), dtype=values.dtype, buffer=out_shm.buf
-                                )
-                                out_io.store(lo, hi, view)
-                                del view
-                        finally:
-                            _release(leases, unlink=True)
-                    merge_stats(kstats)
-                    adopt(spans, expand_span)
-                    return
-                kstats = ScanStats()
-                out_c = np.empty(hi - lo, dtype=values.dtype)
-                with span(
+                chunk_bytes = (
+                    (hi - lo) * (nxt.dtype.itemsize + 2 * values.dtype.itemsize)
+                    + entries.nbytes
+                    + carries.nbytes
+                )
+                with gate.admit(chunk_bytes), span(
                     "chunk_expand",
                     parent=expand_span,
                     chunk=c,
@@ -411,21 +302,19 @@ def _sharded_scan(
                     hi=hi,
                     entries=int(entries.shape[0]),
                 ):
-                    expand_chunk(
-                        nxt_io.fetch(lo, hi),
-                        values_io.fetch(lo, hi, writable=True),
-                        lo,
-                        hi,
-                        entries,
-                        carries,
+                    _, kstats = backend.run_kernel(
+                        expand_chunk,
+                        {**chunk_arrays(lo, hi, entries), "carries": carries},
                         op,
-                        inclusive,
-                        out_c,
-                        np.random.default_rng(seed),
-                        stats=kstats,
-                        kernel_backend=kernel_backend,
+                        seed=seed_root + c,  # same seed → same splitters as Phase 1
+                        trace=tracer,
+                        kernel_backend=kb,
+                        out=out_view[lo:hi],
+                        lo=lo,
+                        hi=hi,
+                        inclusive=inclusive,
                     )
-                out_io.store(lo, hi, out_c)
+                    out_io.retire(lo, hi)
                 merge_stats(kstats)
 
             backend.map_shards(run_expand, list(range(plan.num_chunks)))
@@ -435,7 +324,6 @@ def _sharded_scan(
             num_chunks=plan.num_chunks,
             n_reduced=n_reduced,
             reduced_algorithm=reduced_algorithm,
-            offloaded=offload,
             gate_peak_bytes=gate.peak_bytes,
             memory_budget_bytes=cfg.memory_budget_bytes,
         )

@@ -71,7 +71,6 @@ from ..core.list_scan import ALGORITHMS, list_scan
 from ..core.operators import Operator, SUM
 from ..core.stats import ScanStats
 from ..lists.generate import LinkedList
-from ..trace.export import span_from_dict
 from ..trace.tracer import Span, Tracer, null_span, resolve_trace
 from .batch import DEFAULT_SIZE_CLASS_BASE, FusedBatch, shard_requests
 from .cache import ResultCache, fingerprint
@@ -89,11 +88,10 @@ from ..sanitize.runtime import (
     atomic_write,
     guarded,
     hb_join,
-    hb_publish,
     note_engine_close,
 )
 from .router import CANDIDATES, Router
-from .workers import EXECUTORS, create_backend, run_fused_kernel, shippable_operator
+from .workers import EXECUTORS, create_backend, run_fused_kernel
 
 __all__ = ["Engine", "EngineStats"]
 
@@ -767,24 +765,29 @@ class Engine:
                             )
 
             shards = list(shard_requests(misses, self.size_class_base).values())
+            # one generator per shard, spawned in shard order before
+            # dispatch, so results never depend on which driver thread
+            # reaches the kernel first
+            with guarded(self._lock, "engine.seeds"):
+                jobs = list(zip(shards, self._seeds.spawn(len(shards))))
 
-            def _run_shard(shard: list[ScanRequest]) -> list[_Outcome]:
-                outcomes = self._execute_shard_contained(shard, parent=batch_span)
-                # future-resolution edge: the driver thread's work
-                # happens-before the respond loop that consumes it
-                hb_publish(("shard", id(shard)))
-                return outcomes
+            def _run_shard(
+                job: tuple[list[ScanRequest], np.random.SeedSequence],
+            ) -> list[_Outcome]:
+                shard, seed = job
+                return self._execute_shard_contained(
+                    shard, np.random.default_rng(seed), parent=batch_span
+                )
 
             if parallel:
                 # the backend's persistent pool (lazily created on the
                 # first multi-shard batch, reused for every one after)
-                shard_results = self._backend.map_shards(_run_shard, shards)
+                shard_results = self._backend.map_shards(_run_shard, jobs)
             else:
-                shard_results = [_run_shard(shard) for shard in shards]
+                shard_results = [_run_shard(job) for job in jobs]
 
             with span("respond"):
                 for shard, outcomes in zip(shards, shard_results):
-                    hb_join(("shard", id(shard)))
                     for req, outcome in zip(shard, outcomes):
                         if isinstance(outcome, RequestError):
                             n_errors += 1
@@ -937,12 +940,9 @@ class Engine:
             error=error,
         )
 
-    def _child_rng(self) -> np.random.Generator:
-        with guarded(self._lock, "engine.seeds"):
-            (child,) = self._seeds.spawn(1)
-        return np.random.default_rng(child)
-
-    def _solo_scan(self, req: ScanRequest) -> tuple[str, np.ndarray]:
+    def _solo_scan(
+        self, req: ScanRequest, rng: np.random.Generator
+    ) -> tuple[str, np.ndarray]:
         """Run one request alone through the dispatch API.
 
         Each solo run collects its *own* fresh kernel
@@ -968,7 +968,7 @@ class Engine:
                 req.op,
                 inclusive=req.inclusive,
                 algorithm=algorithm,
-                rng=self._child_rng(),
+                rng=rng,
                 stats=kstats,
                 trace=tracer,
                 kernel_backend=self.kernel_backend,
@@ -982,7 +982,10 @@ class Engine:
         return algorithm, result
 
     def _execute_shard_contained(
-        self, shard: list[ScanRequest], parent: Span | None = None
+        self,
+        shard: list[ScanRequest],
+        rng: np.random.Generator,
+        parent: Span | None = None,
     ) -> list[_Outcome]:
         """Run one shard without ever raising.
 
@@ -1006,7 +1009,7 @@ class Engine:
             nodes=sum(req.n for req in shard),
         ):
             try:
-                algorithm, results = self._execute_shard(shard)
+                algorithm, results = self._execute_shard(shard, rng)
                 return [(algorithm, len(shard), result) for result in results]
             except Exception as exc:
                 if len(shard) == 1:
@@ -1024,7 +1027,7 @@ class Engine:
                 with span("quarantine_retry", lists=len(shard)):
                     for req in shard:
                         try:
-                            algorithm, result = self._solo_scan(req)
+                            algorithm, result = self._solo_scan(req, rng)
                             outcomes.append((algorithm, 1, result))
                         except Exception as solo_exc:
                             with guarded(self._lock, "engine.stats"):
@@ -1037,7 +1040,7 @@ class Engine:
                 return outcomes
 
     def _execute_shard(
-        self, shard: list[ScanRequest]
+        self, shard: list[ScanRequest], rng: np.random.Generator
     ) -> tuple[str, list[np.ndarray]]:
         """Run one fusable shard; returns ``(algorithm, per-request results)``.
 
@@ -1054,7 +1057,7 @@ class Engine:
 
         # unroutable forced algorithms have no forest kernel: run per list
         if forced != "auto" and forced not in CANDIDATES:
-            results = [self._solo_scan(req)[1] for req in shard]
+            results = [self._solo_scan(req, rng)[1] for req in shard]
             return forced, results
 
         # capacity routing: shards whose fused working set would blow
@@ -1067,13 +1070,12 @@ class Engine:
                 *(req.lst.values.dtype for req in shard)
             )
             if self.distributed.should_shard(total_nodes, value_dtype):
-                return self._execute_distributed(shard)
+                return self._execute_distributed(shard, rng)
 
         if len(shard) == 1:
-            algorithm, result = self._solo_scan(shard[0])
+            algorithm, result = self._solo_scan(shard[0], rng)
             return algorithm, [result]
 
-        rng = self._child_rng()
         batch = FusedBatch.fuse(shard)
         algorithm = (
             forced
@@ -1097,17 +1099,11 @@ class Engine:
                 n_lists=batch.n_lists,
                 predicted_clocks=predicted,
             )
-        kstats = ScanStats()
-        backend = self._backend
-        # a kernel leaves this process only when the worker can
-        # rehydrate the operator faithfully — by builtin name, or as a
-        # pair-formulated opcode tuple (kernels.pairs); other custom
-        # operators (and the sync/threads backends) execute inline.
-        ship = (
-            shippable_operator(batch.op) if backend.offloads_kernels else None
-        )
-        offload = ship is not None
-        traced = tracer is not None and tracer.enabled
+        # randomness is a seed drawn from this shard's generator, so the
+        # kernel draws the same splitters whether the backend runs it
+        # here or in a worker process (see ExecutionBackend.run_kernel)
+        seed = int(rng.integers(0, 2**63))
+        out = np.empty_like(batch.values)
         epoch = self._drift  # calibration epoch this run is measured under
         t0 = self.clock()
         with span(
@@ -1115,47 +1111,18 @@ class Engine:
             algorithm=algorithm,
             lists=batch.n_lists,
             nodes=batch.n_nodes,
-        ) as exec_span:
-            if offload:
-                # randomness crosses as a seed drawn from this shard's
-                # generator; trace spans come back as serialized
-                # records and are adopted under the execute span, so
-                # the batch tree stays connected across processes.
-                op_name, pair, identity = ship
-                seed = int(rng.integers(0, 2**63))
-                out, kstats, worker_spans = backend.run_fused(
-                    batch.nxt,
-                    batch.values,
-                    batch.heads,
-                    op_name,
-                    batch.inclusive,
-                    algorithm,
-                    seed,
-                    traced,
-                    kernel_backend=self.kernel_backend,
-                    pair=pair,
-                    identity=identity,
-                )
-                if traced and worker_spans:
-                    tracer.adopt(
-                        [span_from_dict(rec) for rec in worker_spans],
-                        parent=exec_span,
-                    )
-            else:
-                out = np.empty_like(batch.values)
-                run_fused_kernel(
-                    batch.nxt,
-                    batch.values,
-                    batch.heads,
-                    batch.op,
-                    batch.inclusive,
-                    algorithm,
-                    rng,
-                    kstats,
-                    out,
-                    tracer,
-                    kernel_backend=self._kernel_backend,
-                )
+        ):
+            _, kstats = self._backend.run_kernel(
+                run_fused_kernel,
+                {"nxt": batch.nxt, "values": batch.values, "heads": batch.heads},
+                batch.op,
+                seed=seed,
+                trace=tracer,
+                kernel_backend=self._kernel_backend,
+                out=out,
+                inclusive=batch.inclusive,
+                algorithm=algorithm,
+            )
         elapsed = self.clock() - t0
         results = batch.unfuse(out)
         with guarded(self._lock, "engine.stats"):
@@ -1169,7 +1136,7 @@ class Engine:
         return algorithm, results
 
     def _execute_distributed(
-        self, shard: list[ScanRequest]
+        self, shard: list[ScanRequest], rng: np.random.Generator
     ) -> tuple[str, list[np.ndarray]]:
         """Run one oversized shard through the three-phase sharded scan.
 
@@ -1186,7 +1153,6 @@ class Engine:
 
         tracer = self.trace
         span = tracer.span if tracer is not None else null_span
-        rng = self._child_rng()
         batch = FusedBatch.fuse(shard)
         kstats = ScanStats()
         report: dict[str, Any] = {}

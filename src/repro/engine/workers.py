@@ -18,26 +18,35 @@ the engine a real backend, chosen by ``Engine(executor=...)``:
 ``processes``
     A long-lived ``ProcessPoolExecutor`` plus a same-width driver
     thread pool.  The driver threads run the engine's containment
-    wrappers (retry/quarantine bookkeeping stays in the parent, under
-    the parent's locks); the fused *kernels* execute in worker
-    processes.  The concatenated successor/value arrays cross the
-    process boundary through ``multiprocessing.shared_memory`` — the
-    parent copies each fused array into a segment, the worker maps it
-    by name, and the result comes back through a third segment — so no
-    O(n) payload is ever pickled.  Tiny shards (below
+    wrappers and the sharded scan's chunk wrappers (retry/quarantine
+    bookkeeping stays in the parent, under the parent's locks); the
+    *kernels* execute in worker processes.  Arrays cross the process
+    boundary through ``multiprocessing.shared_memory`` — the parent
+    copies each array into a segment, the worker maps it by name, and
+    the result comes back through an output segment — so no O(n)
+    payload is ever pickled.  Tiny arrays (below
     :data:`SHM_MIN_BYTES`) skip the segment setup and ship inline.
     Workers start via ``forkserver``/``spawn``, never ``fork`` — the
     pool is driven from threads, and fork-under-threads deadlocks
     (see :func:`_pool_mp_context`).
 
-Fault containment is unchanged: a worker that raises surfaces the
-exception through its future, the engine's quarantine retry runs the
-shard's members solo in the parent, and a crashed worker (a
+Every kernel call — a fused engine shard, a distributed chunk
+contraction or expansion — goes through one seam,
+:meth:`ExecutionBackend.run_kernel`: inline backends and operators a
+worker cannot rehydrate call the kernel in-process, and
+:class:`ProcessBackend` ships the rest as one :class:`_Task` to the one
+worker entry point, :func:`_run_task`.  Either way the kernel's
+generator is ``default_rng(seed)``, so every executor computes the
+same bits.
+
+Fault containment: a worker that raises surfaces the exception
+through its future, the engine's quarantine retry runs the shard's
+members solo in the parent, and a crashed worker (a
 ``BrokenProcessPool``) additionally drops the pool so the next batch
-gets a fresh one.  Tracing is unchanged too: workers record kernel
-spans with their own tracer and return them as serialized records; the
-engine adopts them under the batch root (``Tracer.adopt``), so a
-traced batch is one connected tree no matter where it ran.
+gets a fresh one.  Tracing: workers record kernel spans with their own
+tracer and return them as serialized records; ``run_kernel`` adopts
+them under the caller's current span (``Tracer.adopt``), so a traced
+batch is one connected tree no matter where it ran.
 
 All backends are lazy (no pool exists until the first dispatch that
 needs one) and idempotently closable (``Engine.close()`` / the engine
@@ -48,11 +57,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import suppress
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -77,6 +86,8 @@ __all__ = [
     "shippable_operator",
 ]
 
+_T = TypeVar("_T")
+
 #: Accepted values for ``Engine(executor=...)``.
 EXECUTORS = ("sync", "threads", "processes")
 
@@ -94,28 +105,28 @@ def run_fused_kernel(
     inclusive: bool,
     algorithm: str,
     rng: np.random.Generator,
-    kstats: ScanStats,
+    stats: ScanStats,
     out: np.ndarray,
-    tracer: Tracer | None = None,
+    trace: Tracer | None = None,
     kernel_backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
     """Execute one fused forest problem with the routed algorithm.
 
-    This is the single kernel dispatch shared by every driver: the
-    engine calls it inline (``sync``/``threads``, and any shard the
-    process driver cannot ship), and :func:`_run_fused_task` calls it
-    inside a worker process.  ``out`` is filled in place; the return
-    value is always ``out``.  ``kernel_backend`` selects the hot-loop
-    backend for the sublist kernel (``docs/kernels.md``); serial and
-    Wyllie have no pluggable loops.
+    This is the single kernel dispatch for fused shards: the engine
+    passes it to :meth:`ExecutionBackend.run_kernel`, which calls it
+    inline or in a worker process, and the sharded scan calls it
+    directly for its reduced list.  ``out`` is filled in place; the
+    return value is always ``out``.  ``kernel_backend`` selects the
+    hot-loop backend for the sublist kernel (``docs/kernels.md``);
+    serial and Wyllie have no pluggable loops.
     """
     if algorithm == "serial":
         serial_forest_scan(nxt, values, heads, op, None, out)
-        kstats.add_work(nxt.shape[0], phase="serial")
+        stats.add_work(nxt.shape[0], phase="serial")
         if inclusive:
             out[...] = op.combine(out, values)
     elif algorithm == "wyllie":
-        wyllie_forest_scan(nxt, values, heads, op, None, out, stats=kstats)
+        wyllie_forest_scan(nxt, values, heads, op, None, out, stats=stats)
         if inclusive:
             out[...] = op.combine(out, values)
     else:  # "sublist" and any future routable default
@@ -126,9 +137,9 @@ def run_fused_kernel(
             op,
             inclusive=inclusive,
             rng=rng,
-            stats=kstats,
+            stats=stats,
             out=out,
-            trace=tracer,
+            trace=trace,
             kernel_backend=kernel_backend,
         )
         if res is not out:
@@ -137,6 +148,39 @@ def run_fused_kernel(
             # so shared-memory output slots see the final result
             out[...] = res
     return out
+
+
+def _call_kernel(
+    fn: Callable[..., _T],
+    arrays: dict[str, np.ndarray],
+    op: Operator,
+    seed: int,
+    trace: Tracer | None,
+    kernel_backend: KernelBackend,
+    out: np.ndarray | None,
+    kwargs: dict[str, Any],
+) -> tuple[_T, ScanStats]:
+    """The one kernel call every driver makes, in-process or in a worker.
+
+    ``fn`` is a module-level kernel taking its arrays and ``kwargs`` by
+    keyword plus ``op``, ``rng``, ``stats``, ``trace``,
+    ``kernel_backend`` (and ``out`` when given).  Randomness is always
+    ``default_rng(seed)``, so a kernel draws the same splitters
+    wherever it runs.
+    """
+    kstats = ScanStats()
+    if out is not None:
+        kwargs = {**kwargs, "out": out}
+    result = fn(
+        **arrays,
+        op=op,
+        rng=np.random.default_rng(seed),
+        stats=kstats,
+        trace=trace,
+        kernel_backend=kernel_backend,
+        **kwargs,
+    )
+    return result, kstats
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +209,9 @@ class _ArrayRef:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
-def _export_array(arr: np.ndarray, leases: list[Any], min_bytes: int) -> _ArrayRef:
+def _export_array(
+    arr: np.ndarray, leases: list[Any], min_bytes: int = SHM_MIN_BYTES
+) -> _ArrayRef:
     """Ship ``arr`` to a worker: shared memory above ``min_bytes``,
     inline below.  Created segments are appended to ``leases`` — the
     parent owns them and must close+unlink after the task completes
@@ -184,7 +230,7 @@ def _export_array(arr: np.ndarray, leases: list[Any], min_bytes: int) -> _ArrayR
 
 
 def _alloc_out(
-    shape: tuple[int, ...], dtype: np.dtype, leases: list[Any], min_bytes: int
+    shape: tuple[int, ...], dtype: np.dtype, leases: list[Any], min_bytes: int = SHM_MIN_BYTES
 ) -> _ArrayRef:
     """Allocate the result slot: a shared segment the worker writes
     into, or (small results) nothing — the worker returns the array."""
@@ -286,87 +332,67 @@ def _pool_mp_context() -> Any:
 
 
 @dataclass
-class _FusedTask:
-    """Everything a worker process needs to run one fused shard.
+class _Task:
+    """Everything a worker process needs to make one kernel call.
 
-    Only plain data crosses: the operator travels *by name* plus, for
-    non-builtin pair-formulated operators, its ``PairSpec`` opcode
-    tuple and identity (rehydrated via
-    ``kernels.pairs.operator_from_pair``; ``pair`` is ``None`` for a
-    builtin, which resolves against the builtin table).  The kernel
-    backend travels by name, randomness as an integer seed, tracing as
-    a bool.
+    Only plain data crosses: ``fn`` pickles by reference (a module-level
+    kernel), arrays as :class:`_ArrayRef`, the operator as its
+    :func:`shippable_operator` triple, the kernel backend by name,
+    randomness as an integer seed and tracing as a bool.  ``out`` is
+    the output slot, or ``None`` when the kernel returns its result.
     """
 
-    nxt: _ArrayRef
-    values: _ArrayRef
-    out: _ArrayRef
-    heads: np.ndarray
-    op_name: str
-    inclusive: bool
-    algorithm: str
+    fn: Callable[..., Any]
+    arrays: dict[str, _ArrayRef]
+    out: _ArrayRef | None
+    ship: tuple[str, tuple[int, int, int, int] | None, Any]
     seed: int
     traced: bool
-    kernel_backend: str = "numpy"
-    pair: tuple[int, int, int, int] | None = None
-    identity: Any = None
+    kernel_backend: str
+    kwargs: dict[str, Any]
 
 
-def _run_fused_task(
-    task: _FusedTask,
-) -> tuple[ScanStats, list[dict[str, Any]], np.ndarray | None]:
-    """Worker-process entry point: map, execute, write back.
+def _run_task(task: _Task) -> tuple[Any, ScanStats, list[dict[str, Any]]]:
+    """Worker-process entry point: attach, rehydrate, call, write back.
 
-    Returns ``(kernel stats, serialized kernel spans, payload)`` where
-    ``payload`` is the result array when the output slot was inline and
-    ``None`` when it was written into the shared segment.  Exceptions
+    Returns ``(result, kernel stats, serialized kernel spans)``.  With
+    an output slot, ``result`` is the output array when the slot was
+    inline and ``None`` when it was written into the shared segment;
+    without one it is whatever the kernel returned.  Exceptions
     propagate through the future — containment lives in the parent.
     """
     from ..trace.export import span_to_dict
 
     holds: list[Any] = []
-    nxt = values = out = None
+    arrays: dict[str, np.ndarray] = {}
+    out = result = None
     try:
-        nxt = _attach_array(task.nxt, holds)
-        values = _attach_array(task.values, holds)
-        out = _attach_array(task.out, holds)
-        if task.pair is not None:
-            op = operator_from_pair(
-                task.op_name, PairSpec.from_tuple(task.pair), task.identity
-            )
+        arrays = {key: _attach_array(ref, holds) for key, ref in task.arrays.items()}
+        if task.out is not None:
+            out = _attach_array(task.out, holds)
+        name, pair, identity = task.ship
+        if pair is not None:
+            op = operator_from_pair(name, PairSpec.from_tuple(pair), identity)
         else:
-            op = get_operator(task.op_name)
+            op = get_operator(name)
         try:
             kernel_backend = resolve_backend(task.kernel_backend)
         except ValueError:
             # e.g. the parent auto-detected numba but this worker's
             # environment lacks it — degrade to the reference backend
-            # rather than failing the shard
+            # rather than failing the task
             kernel_backend = resolve_backend("numpy")
         tracer = Tracer() if task.traced else None
-        kstats = ScanStats()
-        rng = np.random.default_rng(task.seed)
-        run_fused_kernel(
-            nxt,
-            values,
-            task.heads,
-            op,
-            task.inclusive,
-            task.algorithm,
-            rng,
-            kstats,
-            out,
-            tracer,
-            kernel_backend=kernel_backend,
+        result, kstats = _call_kernel(
+            task.fn, arrays, op, task.seed, tracer, kernel_backend, out, task.kwargs
         )
+        if task.out is not None:
+            result = out if task.out.shm_name is None else None
         spans = [span_to_dict(root) for root in tracer.roots] if tracer else []
-        payload = out if task.out.shm_name is None else None
-        if payload is not None and payload.base is not None:
-            payload = payload.copy()
-        return kstats, spans, payload
+        return result, kstats, spans
     finally:
         # numpy views into the mappings must die before close()
-        del nxt, values, out
+        del arrays, out, result
         _release(holds, unlink=False)
 
 
@@ -375,22 +401,46 @@ def _run_fused_task(
 # ----------------------------------------------------------------------
 
 
-class ExecutionBackend:
-    """Driver interface the engine talks to.
+def _map_settled(
+    pool: ThreadPoolExecutor, fn: Callable[[Any], Any], shards: Sequence[Any]
+) -> list[Any]:
+    """``pool.map`` that returns or raises only once every shard is done.
 
-    ``map_shards`` runs the engine's containment wrapper over every
-    shard (concurrently on pooled backends); ``run_fused`` — only on
-    backends with ``offloads_kernels`` — executes one fused kernel off
-    the engine process.  Pools are created lazily and torn down exactly
-    once by :meth:`close` (idempotent; ``pools_created`` /
+    A shard's failure propagates after its siblings finish, so a caller
+    that sees the exception owns no in-flight leases or segments.  The
+    submit and completion handoffs are reported to the race detector
+    as happens-before edges.
+    """
+    start, done = object(), object()
+    sanitize.hb_publish(start)
+
+    def run(shard: Any) -> Any:
+        sanitize.hb_join(start)
+        try:
+            return fn(shard)
+        finally:
+            sanitize.hb_publish(done)
+
+    futures = [pool.submit(run, shard) for shard in shards]
+    wait(futures)
+    sanitize.hb_join(done)
+    return [future.result() for future in futures]
+
+
+class ExecutionBackend:
+    """Driver interface the engine and the sharded scan talk to.
+
+    ``map_shards`` runs a wrapper over every shard or chunk
+    (concurrently on pooled backends); ``run_kernel`` makes one kernel
+    call, in this process or — on :class:`ProcessBackend` — in a
+    worker.  Pools are created lazily and torn down exactly once by
+    :meth:`close` (idempotent; ``pools_created`` /
     ``closes_effective`` expose the lifecycle for tests).
     """
 
     name = "sync"
     #: shards may execute concurrently when the caller asks for it
     concurrent = False
-    #: fused kernels execute outside the engine process
-    offloads_kernels = False
 
     def __init__(self) -> None:
         self.pools_created = 0
@@ -401,24 +451,30 @@ class ExecutionBackend:
     def map_shards(self, fn: Callable[[Any], Any], shards: Sequence[Any]) -> list[Any]:
         return [fn(shard) for shard in shards]
 
-    def run_fused(
+    def run_kernel(
         self,
-        nxt: np.ndarray,
-        values: np.ndarray,
-        heads: np.ndarray,
-        op_name: str,
-        inclusive: bool,
-        algorithm: str,
+        fn: Callable[..., _T],
+        arrays: dict[str, np.ndarray],
+        op: Operator,
+        *,
         seed: int,
-        traced: bool,
-        kernel_backend: str = "numpy",
-        pair: tuple[int, int, int, int] | None = None,
-        identity: Any = None,
-    ) -> tuple[np.ndarray, ScanStats, list[dict[str, Any]]]:
-        raise NotImplementedError(f"{self.name!r} backend executes kernels inline")
+        trace: Tracer | None,
+        kernel_backend: KernelBackend,
+        out: np.ndarray | None = None,
+        **kwargs: Any,
+    ) -> tuple[_T, ScanStats]:
+        """Call the module-level kernel ``fn`` once; the single seam
+        between drivers and kernels.
 
-    def run_task(self, fn: Callable[..., Any], /, *args: Any) -> Any:
-        raise NotImplementedError(f"{self.name!r} backend executes tasks inline")
+        ``fn`` receives ``arrays`` and ``kwargs`` by keyword, plus
+        ``op``, ``rng=default_rng(seed)``, fresh ``stats``, ``trace``,
+        ``kernel_backend`` and, when given, ``out`` — which then holds
+        the result.  Returns ``(fn's result, kernel stats)``.  This
+        backend calls ``fn`` in-process; :class:`ProcessBackend`
+        ships every call whose operator a worker can rehydrate, with
+        the same seed, so results do not depend on where it ran.
+        """
+        return _call_kernel(fn, arrays, op, seed, trace, kernel_backend, out, kwargs)
 
     def close(self) -> None:
         """Tear down worker pools; safe to call any number of times."""
@@ -473,7 +529,7 @@ class ThreadBackend(ExecutionBackend):
     def map_shards(self, fn: Callable[[Any], Any], shards: Sequence[Any]) -> list[Any]:
         if len(shards) <= 1:
             return [fn(shard) for shard in shards]
-        return list(self._ensure_pool().map(fn, shards))
+        return _map_settled(self._ensure_pool(), fn, shards)
 
     def _shutdown(self) -> None:
         with self._lock:
@@ -486,29 +542,23 @@ class ThreadBackend(ExecutionBackend):
 class ProcessBackend(ExecutionBackend):
     """Persistent process pool with shared-memory array transport.
 
-    Two pools, one width: the driver *thread* pool runs the engine's
-    per-shard containment wrappers (so retry/quarantine and stats
-    mutation stay in the parent process), and each wrapper ships its
-    fused kernel to the *process* pool through :class:`_FusedTask`.
-    A ``BrokenProcessPool`` (worker killed mid-task) drops the process
-    pool — the failing shard quarantines like any other execution
-    failure and the next dispatch gets a fresh pool.
+    Two pools, one width: the driver *thread* pool runs the per-shard
+    and per-chunk wrappers (so retry/quarantine and stats mutation stay
+    in the parent process), and each wrapper ships its kernel call to
+    the *process* pool as one :class:`_Task`.  A ``BrokenProcessPool``
+    (worker killed mid-task) drops the process pool — the failing
+    shard quarantines like any other execution failure and the next
+    dispatch gets a fresh pool.
     """
 
     name = "processes"
     concurrent = True
-    offloads_kernels = True
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        shm_min_bytes: int = SHM_MIN_BYTES,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         super().__init__()
         import os
 
         self.max_workers = max_workers if max_workers is not None else os.cpu_count() or 1
-        self.shm_min_bytes = int(shm_min_bytes)
         self.tasks_offloaded = 0
         self._pool: ProcessPoolExecutor | None = None
         self._driver: ThreadPoolExecutor | None = None
@@ -538,26 +588,39 @@ class ProcessBackend(ExecutionBackend):
     def map_shards(self, fn: Callable[[Any], Any], shards: Sequence[Any]) -> list[Any]:
         if len(shards) <= 1:
             return [fn(shard) for shard in shards]
-        return list(self._ensure_driver().map(fn, shards))
+        return _map_settled(self._ensure_driver(), fn, shards)
 
-    def run_task(self, fn: Callable[..., Any], /, *args: Any) -> Any:
-        """Run one picklable task on the process pool and wait for it.
+    def run_kernel(
+        self,
+        fn: Callable[..., _T],
+        arrays: dict[str, np.ndarray],
+        op: Operator,
+        *,
+        seed: int,
+        trace: Tracer | None,
+        kernel_backend: KernelBackend,
+        out: np.ndarray | None = None,
+        **kwargs: Any,
+    ) -> tuple[_T, ScanStats]:
+        """Ship the call to a worker unless its operator cannot cross
+        (see :func:`shippable_operator`); the worker's spans are
+        adopted under the caller's current span."""
+        ship = shippable_operator(op)
+        if ship is None:
+            return super().run_kernel(
+                fn, arrays, op, seed=seed, trace=trace,
+                kernel_backend=kernel_backend, out=out, **kwargs,
+            )
+        traced = trace is not None and trace.enabled
+        result, kstats, spans = self._ship(
+            fn, arrays, ship, seed, traced, kernel_backend.name, out, kwargs
+        )
+        if spans:
+            from ..trace.export import span_from_dict
 
-        The shared seam for every off-process dispatch (fused shards,
-        distributed chunk contractions/expansions): a worker crash
-        (``BrokenProcessPool``) drops the pool so the next dispatch
-        builds a fresh one, then re-raises for the caller's containment.
-        """
-        pool = self._ensure_pool()
-        try:
-            return pool.submit(fn, *args).result()
-        except BrokenProcessPool:
-            with self._lock:
-                broken, self._pool = self._pool, None
-            if broken is not None:
-                broken.shutdown(wait=False, cancel_futures=True)
-                sanitize.note_pool_closed(broken)
-            raise
+            assert trace is not None
+            trace.adopt([span_from_dict(rec) for rec in spans], parent=trace.current())
+        return result, kstats
 
     def run_fused(
         self,
@@ -573,43 +636,89 @@ class ProcessBackend(ExecutionBackend):
         pair: tuple[int, int, int, int] | None = None,
         identity: Any = None,
     ) -> tuple[np.ndarray, ScanStats, list[dict[str, Any]]]:
-        """Execute one fused kernel in a worker process.
+        """Execute one fused kernel in a worker process; returns
+        ``(out, kernel stats, serialized kernel spans)``."""
+        out = np.empty(values.shape, dtype=values.dtype)
+        _, kstats, spans = self._ship(
+            run_fused_kernel,
+            {"nxt": nxt, "values": values, "heads": heads},
+            (op_name, pair, identity),
+            seed,
+            traced,
+            kernel_backend,
+            out,
+            {"inclusive": bool(inclusive), "algorithm": algorithm},
+        )
+        return out, kstats, spans
+
+    def _ship(
+        self,
+        fn: Callable[..., Any],
+        arrays: dict[str, np.ndarray],
+        ship: tuple[str, tuple[int, int, int, int] | None, Any],
+        seed: int,
+        traced: bool,
+        kernel_backend: str,
+        out: np.ndarray | None,
+        kwargs: dict[str, Any],
+    ) -> tuple[Any, ScanStats, list[dict[str, Any]]]:
+        """Run one :class:`_Task` on the process pool and wait for it.
 
         The parent owns every shared segment: they are created here,
         and closed+unlinked here on every path (including worker
-        crashes), so a poisoned shard cannot leak ``/dev/shm`` space.
+        crashes), so a poisoned task cannot leak ``/dev/shm`` space.
+        A shared output slot is copied straight into ``out``.  Exporting
+        pops each entry of ``arrays``, so a caller's private chunk copy
+        is freed as soon as it sits in shared memory rather than staying
+        resident while the worker runs.
         """
         leases: list[Any] = []
         try:
-            task = _FusedTask(
-                nxt=_export_array(nxt, leases, self.shm_min_bytes),
-                values=_export_array(values, leases, self.shm_min_bytes),
-                out=_alloc_out(values.shape, values.dtype, leases, self.shm_min_bytes),
-                heads=np.ascontiguousarray(heads),
-                op_name=op_name,
-                inclusive=bool(inclusive),
-                algorithm=algorithm,
+            # the output slot is allocated first: its segment, if any, is leases[0]
+            out_ref = None if out is None else _alloc_out(out.shape, out.dtype, leases)
+            task = _Task(
+                fn=fn,
+                arrays={key: _export_array(arrays.pop(key), leases) for key in list(arrays)},
+                out=out_ref,
+                ship=ship,
                 seed=int(seed),
                 traced=bool(traced),
                 kernel_backend=kernel_backend,
-                pair=pair,
-                identity=identity,
+                kwargs=kwargs,
             )
             with self._lock:
                 self.tasks_offloaded += 1
-            kstats, spans, payload = self.run_task(_run_fused_task, task)
-            if payload is not None:
-                out = np.asarray(payload)
-            else:
-                out_shm = leases[-1]  # the _alloc_out segment
-                view = np.ndarray(
-                    task.out.shape, dtype=np.dtype(task.out.dtype), buffer=out_shm.buf
-                )
-                out = view.copy()
-                del view
-            return out, kstats, spans
+            result, kstats, spans = self._submit(task)
+            if out is not None:
+                if result is None:
+                    view = np.ndarray(out.shape, dtype=out.dtype, buffer=leases[0].buf)
+                    out[...] = view
+                    del view
+                else:
+                    out[...] = result
+            return result, kstats, spans
         finally:
             _release(leases, unlink=True)
+
+    def _submit(self, task: _Task) -> Any:
+        """Run ``task`` on the pool.  A worker crash
+        (``BrokenProcessPool``) drops the pool so the next dispatch
+        builds a fresh one, then re-raises for the caller's containment.
+        Only the pool that broke is dropped: a sibling task may already
+        have replaced it with a healthy one.
+        """
+        pool = self._ensure_pool()
+        try:
+            return pool.submit(_run_task, task).result()
+        except BrokenProcessPool:
+            with self._lock:
+                dropped = self._pool is pool
+                if dropped:
+                    self._pool = None
+            if dropped:
+                pool.shutdown(wait=False, cancel_futures=True)
+                sanitize.note_pool_closed(pool)
+            raise
 
     def _shutdown(self) -> None:
         with self._lock:

@@ -68,7 +68,7 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 class KernelBackend:
     """Interface for the three hot kernels (see module docstring)."""
 
-    #: Registry key; also what ``_FusedTask`` ships to worker processes.
+    #: Registry key; also what a worker task (``engine.workers._Task``) ships.
     name: str = "abstract"
     #: True when the loops are machine-compiled (drives cost scaling).
     compiled: bool = False

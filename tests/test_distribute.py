@@ -462,3 +462,138 @@ class TestEngineRouting:
         assert sharded.find("reduce") is not None
         assert len(contract.find_all("chunk_contract")) == 3
         assert len(expand.find_all("chunk_expand")) == 3
+
+
+class TestWorkerTaskSeam:
+    """Chunks cross to workers through the same task seam as fused
+    shards: one operator rehydration, one kernel-backend resolution,
+    one span adoption, one crash path."""
+
+    def test_env_kernel_backend_reaches_shipped_and_inline_chunks(
+        self, rng, process_backend, monkeypatch
+    ):
+        # kernel_backend=None resolves REPRO_KERNEL_BACKEND once, and
+        # that name is what shipped chunks run: the python backend is
+        # the one that records a blocked Phase 2 ("phase2_blocked")
+        from repro.core.stats import ScanStats
+
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
+        lst = blocked_list(20_000, 64, rng, values=rng.random(20_000))
+        shipped_before = process_backend.tasks_offloaded
+        outs = []
+        for backend in ("sync", process_backend):
+            stats = ScanStats()
+            outs.append(
+                sharded_list_scan(
+                    lst, config=chunked(4), backend=backend, rng=5, stats=stats
+                )
+            )
+            assert "phase2_blocked" in stats.phases
+            assert "phase2_serial" not in stats.phases
+        assert process_backend.tasks_offloaded > shipped_before
+        assert np.array_equal(outs[0], outs[1])
+
+    def test_pair_operator_ships_through_chunks(self, rng, process_backend):
+        from repro.core.operators import Operator
+        from repro.kernels import PairSpec, register_pair
+        from repro.kernels.pairs import _PAIR_REGISTRY, OP_ADD
+
+        op = Operator(name="chunk_ship_add", combine=np.add, identity=0)
+        register_pair(op, PairSpec(width=1, companion=OP_ADD))
+        try:
+            lst = blocked_list(40_000, 64, rng, values=rng.integers(-9, 9, 40_000))
+            before = process_backend.tasks_offloaded
+            got = sharded_list_scan(
+                lst, op, config=chunked(4), backend=process_backend, rng=rng
+            )
+            # 4 contractions + 4 expansions rehydrated from opcodes
+            assert process_backend.tasks_offloaded - before == 8
+            assert np.array_equal(got, serial_list_scan(lst, op))
+        finally:
+            _PAIR_REGISTRY.pop("chunk_ship_add", None)
+
+    def test_opaque_operator_runs_chunks_inline(self, rng, process_backend):
+        from repro.core.operators import Operator
+
+        op = Operator(name="chunk_opaque_add", combine=np.add, identity=0)
+        lst = blocked_list(40_000, 64, rng, values=rng.integers(-9, 9, 40_000))
+        before = process_backend.tasks_offloaded
+        got = sharded_list_scan(
+            lst, op, config=chunked(4), backend=process_backend, rng=rng
+        )
+        assert process_backend.tasks_offloaded == before
+        assert np.array_equal(got, serial_list_scan(lst, op))
+
+    def test_traced_processes_run_has_chunk_spans(self, rng, process_backend):
+        from repro.trace import Tracer
+
+        lst = blocked_list(60_000, 64, rng)
+        tracer = Tracer()
+        sharded_list_rank(
+            lst, config=chunked(3), backend=process_backend, rng=rng, trace=tracer
+        )
+        root = tracer.last_root()
+        assert root.name == "sharded_scan"
+        assert root.find("reduce") is not None
+        for phase, chunk_span in (
+            ("contract", "chunk_contract"),
+            ("expand", "chunk_expand"),
+        ):
+            chunks = root.find(phase).find_all(chunk_span)
+            assert len(chunks) == 3
+            # the worker's kernel spans are adopted under their chunk
+            assert all(c.find("sublist_scan") is not None for c in chunks)
+
+    def test_killed_worker_mid_chunk_releases_and_recovers(self, tmp_path):
+        import os
+        import signal
+        import time
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.sanitize import sanitizers
+
+        n = 60_000
+        write_memmap_list(tmp_path, n, layout="blocked", seed=11)
+        mlist = open_memmap_list(tmp_path)
+        heads = np.array([mlist.head], dtype=INDEX_DTYPE)
+        cfg = DistributedConfig(memory_budget_bytes=2 << 20, chunk_nodes=8192)
+        backend = create_backend("processes", 1)
+
+        def scan():
+            return sharded_forest_scan(
+                mlist.next, mlist.values, heads, SUM,
+                config=cfg, backend=backend, rng=3,
+            )
+
+        try:
+            expect = scan()
+            assert backend.pools_created == 1
+            pool = backend._pool
+            real_submit = pool.submit
+
+            def kill_then_submit(fn, *args, **kwargs):
+                # the chunk's lease is admitted and its segments exist;
+                # the worker dies before it can take the task (killing
+                # it mid-reply could wedge the pool's result pipe)
+                for proc in pool._processes.values():
+                    os.kill(proc.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 30
+                while not pool._broken and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                return real_submit(fn, *args, **kwargs)
+
+            pool.submit = kill_then_submit
+            before = set(glob.glob("/dev/shm/psm_*"))
+            with sanitizers() as state:
+                with pytest.raises(BrokenProcessPool):
+                    scan()
+            assert set(glob.glob("/dev/shm/psm_*")) - before == set()
+            assert state.ledger.lease_outstanding == 0
+            assert state.ledger.segment_leaks() == []
+            assert backend._pool is not pool  # the dead pool was dropped
+            # the next call runs on a fresh pool and is correct
+            assert np.array_equal(scan(), expect)
+            assert backend.pools_created == 2
+            assert set(glob.glob("/dev/shm/psm_*")) - before == set()
+        finally:
+            backend.close()

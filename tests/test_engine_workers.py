@@ -363,3 +363,37 @@ class TestWorkerCrashRecovery:
         with Engine(executor="sync", cache_capacity=0, seed=5) as ref:
             for got, ref_resp in zip(responses, ref.run_batch(reqs)):
                 np.testing.assert_array_equal(got.result, ref_resp.result)
+
+
+class TestFloatDeterminism:
+    def test_float_sums_bit_identical_across_executors(self):
+        # every kernel draws its splitters from default_rng(seed), with
+        # the seed fixed per shard before dispatch, so float sums
+        # re-associate identically wherever the kernel ran
+        from repro.distribute import DistributedConfig, sharded_list_scan
+        from repro.lists.generate import blocked_list
+
+        rng = np.random.default_rng(13)
+        lists = [
+            random_list(int(n), rng, values=rng.random(int(n)))
+            for n in (3000, 3100, 3200, 9000, 9500, 20_000, 21_000)
+        ]
+        big = blocked_list(40_000, 64, rng, values=rng.random(40_000))
+        mapped, sharded = [], []
+        for executor in EXECUTORS:
+            with Engine(executor=executor, max_workers=2, seed=17) as engine:
+                mapped.append(engine.map_scan(lists, algorithm="sublist"))
+                sharded.append(
+                    sharded_list_scan(
+                        big,
+                        config=DistributedConfig(num_chunks=4),
+                        backend=engine._backend,
+                        rng=9,
+                    )
+                )
+        for results in mapped[1:]:
+            for ref, got in zip(mapped[0], results):
+                assert got.dtype == np.float64
+                assert np.array_equal(got, ref)
+        for got in sharded[1:]:
+            assert np.array_equal(got, sharded[0])
