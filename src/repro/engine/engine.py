@@ -73,7 +73,7 @@ from ..core.stats import ScanStats
 from ..lists.generate import LinkedList
 from ..trace.tracer import Span, Tracer, null_span, resolve_trace
 from .batch import DEFAULT_SIZE_CLASS_BASE, FusedBatch, shard_requests
-from .cache import ResultCache, fingerprint
+from .cache import DEFAULT_CACHE_MAX_BYTES, ResultCache, fingerprint
 from .errors import (
     EngineRequestError,
     RequestError,
@@ -282,7 +282,9 @@ class Engine:
     cache:
         A :class:`~repro.engine.cache.ResultCache`, or ``None`` to
         build one from ``cache_capacity``/``cache_max_bytes``
-        (``cache_capacity=0`` disables caching).
+        (``cache_capacity=0`` disables caching).  By default the cache
+        holds at most :data:`~repro.engine.cache.DEFAULT_CACHE_MAX_BYTES`
+        of results; ``cache_max_bytes=None`` lifts the byte bound.
     max_pending / max_pending_nodes:
         Submission-queue backpressure bounds (see ``engine.queue``).
     executor:
@@ -361,7 +363,7 @@ class Engine:
         router: Router | None = None,
         cache: ResultCache | None = None,
         cache_capacity: int = 256,
-        cache_max_bytes: int | None = None,
+        cache_max_bytes: int | None = DEFAULT_CACHE_MAX_BYTES,
         max_pending: int | None = 1024,
         max_pending_nodes: int | None = None,
         executor: str = "threads",

@@ -1,8 +1,14 @@
 """Unit tests for the structural validators."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.lists import validate as validate_mod
 from repro.lists.generate import INDEX_DTYPE, LinkedList, ordered_list, random_list
 from repro.lists.validate import (
     ListStructureError,
@@ -168,3 +174,125 @@ class TestCorruptionGuards:
             serial_forest_scan(
                 nxt, np.ones(n, dtype=np.int64), np.array([0]), SUM, None, out
             )
+
+
+# ----------------------------------------------------------------------
+# the one-pass acceptance check against the step-by-step checks
+# ----------------------------------------------------------------------
+
+CORRUPTIONS = (
+    "none",
+    "out-of-range",
+    "negative",
+    "huge",
+    "second-self-loop",
+    "two-predecessors",
+    "head-predecessor",
+    "head-is-tail",
+    "disjoint-cycle",
+    "random-edit",
+)
+
+
+def list_order(nxt, head):
+    order = [head]
+    while nxt[order[-1]] != order[-1]:
+        order.append(int(nxt[order[-1]]))
+    return order
+
+
+@st.composite
+def corrupted_lists(draw):
+    """A valid random list, or the same list after one corruption."""
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    n = draw(st.integers(4 if kind == "disjoint-cycle" else 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lst = random_list(n, rng)
+    nxt, head = lst.next.copy(), lst.head
+    i = int(rng.integers(n))
+    if kind == "out-of-range":
+        nxt[i] = n + int(rng.integers(3))
+    elif kind == "negative":
+        nxt[i] = -1 - int(rng.integers(3))
+    elif kind == "huge":
+        nxt[i] = 2**40
+    elif kind == "second-self-loop":
+        nxt[i] = i
+    elif kind == "two-predecessors":
+        nxt[i] = nxt[int(rng.integers(n))]
+    elif kind == "head-predecessor":
+        nxt[i] = head
+    elif kind == "head-is-tail":
+        head = lst.tail
+    elif kind == "disjoint-cycle":
+        # a chain of k >= 2 nodes, then the other n - k >= 2 in a cycle
+        order = list_order(nxt, head)
+        k = int(rng.integers(2, n - 1))
+        nxt[order[k - 1]] = order[k - 1]
+        cycle = order[k:]
+        nxt[cycle] = np.roll(cycle, -1)
+    elif kind == "random-edit":
+        nxt[i] = int(rng.integers(-2, n + 2))
+    return raw_list(nxt, head), kind
+
+
+def outcome(check, lst):
+    """``None`` if ``check`` accepts ``lst``, else what it raised."""
+    try:
+        check(lst)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def step_by_step_only():
+    """Run the validators with the one-pass acceptance check disabled,
+    i.e. as the step-by-step checks alone."""
+    return mock.patch.object(validate_mod, "_is_single_chain", lambda nxt, head: False)
+
+
+class TestOnePassAcceptance:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(corrupted_lists())
+    def test_same_verdict_and_message_as_step_by_step(self, case):
+        lst, kind = case
+        with step_by_step_only():
+            expected = outcome(validate_list, lst)
+            expected_strict = outcome(validate_list_strict, lst)
+        assert outcome(validate_list, lst) == expected
+        assert outcome(validate_list_strict, lst) == expected_strict
+        if lst.n > 1:
+            # the fast path accepts exactly the lists the checks accept
+            assert validate_mod._is_single_chain(lst.next, lst.head) == (expected is None)
+        if kind == "none":
+            assert expected is None
+        if kind == "disjoint-cycle":
+            assert expected is None and expected_strict is not None
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_fast_path_takes_valid_lists(self, n, rng):
+        lst = random_list(n, rng)
+        assert validate_mod._is_single_chain(lst.next, lst.head)
+
+    def test_singleton(self):
+        validate_list(raw_list([0], 0))
+        with pytest.raises(ListStructureError, match="singleton list must have head == tail"):
+            validate_list(raw_list([0], 1))
+
+    @pytest.mark.parametrize("bad", [2**40, 2**25])
+    def test_huge_index_raises_without_large_allocation(self, bad):
+        n = 1000
+        nxt = ordered_list(n).next.copy()
+        nxt[7] = bad
+        lst = raw_list(nxt, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ListStructureError, match=rf"^next\[7\] = {bad} out of range \[0, {n}\)$"
+            ):
+                validate_list(lst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # counting in-degrees over [0, bad] would allocate 8 * bad bytes
+        assert peak < 1 << 20
